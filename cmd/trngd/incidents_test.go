@@ -77,9 +77,12 @@ func TestIncidentsEndpoint(t *testing.T) {
 		}
 	}
 
-	// /healthz carries the open-incident summary.
+	// /healthz carries the open-incident summary — 503 while both
+	// drilled shards are still quarantined, 200 once one has healed.
 	var hz healthzResponse
-	getJSON(t, ts.URL+"/healthz", &hz)
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK && code != http.StatusServiceUnavailable {
+		t.Fatalf("/healthz: status %d", code)
+	}
 	if hz.Incidents == nil || hz.Incidents.Total != 1 {
 		t.Fatalf("healthz incident summary: %+v", hz.Incidents)
 	}
@@ -89,7 +92,9 @@ func TestIncidentsEndpoint(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("incident never resolved")
 		}
-		getJSON(t, ts.URL+"/incidents", &ir)
+		if code := getJSON(t, ts.URL+"/incidents", &ir); code != http.StatusOK {
+			t.Fatalf("/incidents: status %d", code)
+		}
 		if len(ir.Incidents) == 1 && ir.Incidents[0].Resolved {
 			break
 		}
@@ -101,7 +106,9 @@ func TestIncidentsEndpoint(t *testing.T) {
 
 	// A consumed cursor pages the resolved incident out.
 	var paged incidentsResponse
-	getJSON(t, fmt.Sprintf("%s/incidents?since=%d", ts.URL, ir.LastID), &paged)
+	if code := getJSON(t, fmt.Sprintf("%s/incidents?since=%d", ts.URL, ir.LastID), &paged); code != http.StatusOK {
+		t.Fatalf("/incidents?since=: status %d", code)
+	}
 	if len(paged.Incidents) != 0 || paged.LastID != ir.LastID {
 		t.Fatalf("cursor page: %+v", paged)
 	}
@@ -185,7 +192,9 @@ func TestEventsDroppedReported(t *testing.T) {
 	}
 	// A caught-up cursor drops nothing.
 	var live eventsResponse
-	getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, er.LastSeq-2), &live)
+	if code := getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, er.LastSeq-2), &live); code != http.StatusOK {
+		t.Fatalf("/events?since=: status %d", code)
+	}
 	if live.Dropped != 0 || len(live.Events) != 2 {
 		t.Fatalf("live cursor: %+v", live)
 	}

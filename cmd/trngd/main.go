@@ -106,8 +106,14 @@
 // latest SP 800-90B assessment — and one SP 800-90A DRBG lane per
 // shard (-drbg ctr|hmac) expands it at AES/SHA throughput. Output rate
 // is bounded by crypto, not physics (MB/s–GB/s instead of a few
-// hundred B/s per shard at calibrated physics); the physics budget
-// goes to continuous health surveillance and reseeds. Lanes reseed
+// hundred B/s per shard at calibrated physics), and physics runs on
+// demand: each shard gates raw bits through its health tests until
+// its epoch's first assessment completes, then only to refill the seed
+// tap that reseeds drain — an idle daemon burns no cores, and the
+// assessment and live-report ages grow while no seed is drawn (the
+// next assessment comes after -assess-every more drawn raw bits).
+// Every tapped bit has passed the tot test, the thermal monitor, the
+// streaming tracker and the epoch's first assessment. Lanes reseed
 // every -reseed-interval output blocks and fail CLOSED: when a reseed
 // cannot obtain seed material from any healthy, current-epoch-assessed
 // shard within -seed-wait, the lane stops (503 once no lane is live)
@@ -1113,7 +1119,7 @@ func main() {
 		maxBytes    = flag.Int("maxbytes", 1<<20, "largest /random request")
 		wait        = flag.Duration("wait", 5*time.Second, "max time to wait for the pool per request")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown budget: max time to drain in-flight requests on SIGTERM/SIGINT")
-		buf         = flag.Int("buf", 1<<16, "per-shard ring buffer bytes")
+		buf         = flag.Int("buf", 1<<16, "per-shard output ring bytes (raw mode only; drbg mode serves no raw stream)")
 		drbgKind    = flag.String("drbg", "ctr", "DRBG mechanism: ctr (CTR_DRBG-AES-256) or hmac (HMAC_DRBG-SHA-256)")
 		cond        = flag.String("cond", "hmac", "vetted conditioning: hmac (HMAC-SHA-256) or cbcmac (CBC-MAC/AES-256)")
 		reseedIv    = flag.Uint64("reseed-interval", 1024, "DRBG output blocks per seed (fail closed past it)")

@@ -537,7 +537,7 @@ func TestDRBGMode(t *testing.T) {
 	defer ts.Close()
 
 	// Output is gated on the first per-shard assessment; the serving
-	// producers complete it on their own (surveillance duty).
+	// producers complete it on their own before going demand-driven.
 	deadline := time.Now().Add(30 * time.Second)
 	var body []byte
 	for {

@@ -38,6 +38,9 @@ func startObserved(t *testing.T, cfg entropyd.Config, pprofOn bool) (*entropyd.P
 	return pool, j, h
 }
 
+// getJSON decodes the JSON body of a GET into v whatever the status —
+// an unhealthy /healthz answers 503 with the same document — and
+// returns the status for the caller to assert.
 func getJSON(t *testing.T, url string, v any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -45,10 +48,8 @@ func getJSON(t *testing.T, url string, v any) int {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			t.Fatal(err)
-		}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: status %d: %v", url, resp.StatusCode, err)
 	}
 	return resp.StatusCode
 }
@@ -82,7 +83,9 @@ func TestEventsEndpoint(t *testing.T) {
 	// and still advances the baseline cursor.
 	cursor := er.LastSeq
 	var empty eventsResponse
-	getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, j.LastSeq()), &empty)
+	if code := getJSON(t, fmt.Sprintf("%s/events?since=%d", ts.URL, j.LastSeq()), &empty); code != http.StatusOK {
+		t.Fatalf("/events?since=: status %d", code)
+	}
 	if empty.Events == nil || len(empty.Events) != 0 {
 		t.Fatalf("empty page: %+v", empty)
 	}
@@ -109,7 +112,9 @@ func TestEventsEndpoint(t *testing.T) {
 			resp.Body.Close()
 		}
 		var page eventsResponse
-		getJSON(t, fmt.Sprintf("%s/events?since=%d&shard=1", ts.URL, cursor), &page)
+		if code := getJSON(t, fmt.Sprintf("%s/events?since=%d&shard=1", ts.URL, cursor), &page); code != http.StatusOK {
+			t.Fatalf("/events page: status %d", code)
+		}
 		for i := range page.Events {
 			e := page.Events[i]
 			switch e.Type {
@@ -158,12 +163,16 @@ func TestEventsEndpoint(t *testing.T) {
 
 	// Filters and paging.
 	var limited eventsResponse
-	getJSON(t, ts.URL+"/events?limit=1", &limited)
+	if code := getJSON(t, ts.URL+"/events?limit=1", &limited); code != http.StatusOK {
+		t.Fatalf("/events?limit=1: status %d", code)
+	}
 	if len(limited.Events) != 1 {
 		t.Fatalf("limit=1 returned %d events", len(limited.Events))
 	}
 	var typed eventsResponse
-	getJSON(t, ts.URL+"/events?type=quarantine&shard=1", &typed)
+	if code := getJSON(t, ts.URL+"/events?type=quarantine&shard=1", &typed); code != http.StatusOK {
+		t.Fatalf("/events?type=: status %d", code)
+	}
 	for _, e := range typed.Events {
 		if e.Type != obs.TypeQuarantine || e.Shard != 1 {
 			t.Fatalf("filter leak: %+v", e)

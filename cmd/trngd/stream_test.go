@@ -194,8 +194,8 @@ func TestAssessLiveNotReady(t *testing.T) {
 func TestAssessAgeDroppedOnQuarantine(t *testing.T) {
 	t.Parallel()
 	cfg := assessConfig(2, 12)
-	// Hold the quarantined state long enough to scrape it (sleepCtx is
-	// context-aware, so shutdown is not delayed).
+	// Hold the quarantined state long enough to scrape it (the producer's
+	// wait is context-aware, so shutdown is not delayed).
 	cfg.Health.RecalibrateBackoff = time.Minute
 	pool, h := startServed(t, cfg, 16, true)
 	ts := httptest.NewServer(h)

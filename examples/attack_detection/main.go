@@ -52,13 +52,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	onsetSample := int(onset * model.Phase.F0 / float64(n))
+	onsetSample := int(onset * model.Phase.F0 / float64(2*n)) // 2·N periods per s_N sample
 	fmt.Printf("attack onset at s_N sample ~%d (t = %.1f ms)\n", onsetSample, onset*1e3)
 	if res.FirstAlarmWindow < 0 {
 		fmt.Println("NOT DETECTED — the entropy source died silently")
 		return
 	}
-	tAlarm := float64(res.FirstAlarmSamples) * float64(n) / model.Phase.F0
+	tAlarm := float64(res.FirstAlarmSamples) * float64(2*n) / model.Phase.F0
 	fmt.Printf("ALARM at s_N sample %d (t = %.2f ms): detection latency %.2f ms\n",
 		res.FirstAlarmSamples, tAlarm*1e3, (tAlarm-onset)*1e3)
 	fmt.Printf("alarm windows: %d low-side, %d high-side out of %d evaluated\n",

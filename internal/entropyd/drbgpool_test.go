@@ -400,9 +400,10 @@ func TestDRBGReseedUnderQuarantine(t *testing.T) {
 }
 
 // TestDRBGServeMode: the expansion layer rides a SERVING pool — the
-// producers' surveillance duty keeps taps and assessments live with
-// nothing draining the raw rings — and an injected quarantine during
-// service degrades the DRBG pool instead of failing it.
+// demand-driven producers assess their epochs and refill the taps that
+// seed draws empty, with no raw consumer at all — and an injected
+// quarantine during service degrades the DRBG pool instead of failing
+// it.
 func TestDRBGServeMode(t *testing.T) {
 	t.Parallel()
 	cfg := drbgTestConfig(2, 23)
@@ -422,7 +423,7 @@ func TestDRBGServeMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Serve-mode producers must assess and fill taps on their own
-	// (surveillance duty); allow generous wall time on slow runners.
+	// (on demand); allow generous wall time on slow runners.
 	deadline := time.Now().Add(30 * time.Second)
 	buf := make([]byte, 4096)
 	for {

@@ -75,7 +75,9 @@
 //     runs a producer goroutine that keeps a lock-light SPSC ring
 //     topped up; consumers drain the rings in the same round-robin
 //     block order, so in the healthy steady state the served stream
-//     equals the Fill stream of a twin pool.
+//     equals the Fill stream of a twin pool. A pool with a seed tap
+//     (DRBG mode, see DRBGPool) serves no raw stream: its producers
+//     have no rings and run only as seed draws demand.
 //
 // Quarantined shards heal automatically in serve mode (producer
 // goroutines recalibrate with backoff); in batch mode the caller
@@ -111,6 +113,11 @@ var ErrStarved = errors.New("entropyd: all shards quarantined")
 // serve mode (never entered, or already stopped/cancelled) — for an
 // HTTP front end this is unavailability, not an internal error.
 var ErrNotServing = errors.New("entropyd: pool is not serving")
+
+// ErrTapped is returned by ReadBuffered on a pool with a seed tap
+// (Config.SeedTapBytes > 0): such a pool serves DRBG output, never the
+// raw stream, and has no output rings.
+var ErrTapped = errors.New("entropyd: a tapped pool serves no raw stream")
 
 // HealthConfig parameterizes the per-shard embedded tests.
 type HealthConfig struct {
@@ -262,21 +269,27 @@ type Config struct {
 	// Jobs is the engine worker-pool width for Fill and construction
 	// (0 = NumCPU, 1 = sequential; output identical either way).
 	Jobs int
-	// BufBytes is the per-shard serve-mode ring capacity (default
-	// 64 KiB, rounded up to a power of two, minimum one fill block).
+	// BufBytes is the per-shard serve-mode output ring capacity
+	// (default 64 KiB, rounded up to a power of two, minimum one fill
+	// block). Only untapped pools have rings: a tapped pool serves no
+	// raw stream, so BufBytes is then validated but unused.
 	BufBytes int
 	// SeedTapBytes, when > 0, gives every shard a raw seed tap of this
 	// capacity (rounded up to a power of two): a passive mirror of the
 	// healthy-epoch raw bits, packed MSB-first, that SeedSource drains
 	// through a vetted conditioner into DRBG seed material. The tap
-	// never changes the output stream, but its contents are raw-stream
+	// never changes the gated stream, but its contents are raw-stream
 	// material: a deployment must serve EITHER the raw stream OR
 	// DRBG output, never both from one pool (cmd/trngd's -mode switch
-	// enforces this). In serve mode a tapped pool also keeps producing
-	// (and discarding) raw bits while its output ring is full, so the
-	// embedded tests, assessments and the tap stay live without a raw
-	// consumer. Requires assessment (DisableAssess must be false):
-	// the assessed min-entropy is the seed accounting input.
+	// enforces this), so a tapped pool has no output rings and
+	// ReadBuffered refuses it (ErrTapped). In serve mode a tapped
+	// shard produces on demand: it gates raw chunks only until its
+	// epoch's first assessment completes and then only while its tap
+	// has room, so seed draws pace the physics and an idle tapped pool
+	// neither tests nor discards bits (its assessment and live-report
+	// ages grow while nothing is drawn). Requires assessment
+	// (DisableAssess must be false): the assessed min-entropy is the
+	// seed accounting input.
 	SeedTapBytes int
 
 	// Sink, when non-nil, receives the pool's observability events
@@ -398,10 +411,11 @@ func New(cfg Config) (*Pool, error) {
 			index: i,
 			pool:  p,
 			seed:  engine.DeriveSeed(cfg.Seed, uint64(i)),
-			ring:  newRing(cfg.BufBytes),
 		}
 		if cfg.SeedTapBytes > 0 {
 			p.shards[i].tap = newRing(cfg.SeedTapBytes)
+		} else {
+			p.shards[i].ring = newRing(cfg.BufBytes)
 		}
 	}
 	err := engine.Run(context.Background(), cfg.Shards, func(_ context.Context, i int) error {
@@ -709,7 +723,7 @@ type ShardStatus struct {
 	StartupFailures uint64 `json:"startup_failures"`
 	Quarantines     uint64 `json:"quarantines"`
 	DrainedBytes    uint64 `json:"drained_bytes"`
-	Buffered        int    `json:"buffered"`
+	Buffered        int    `json:"buffered"` // output-ring bytes; 0 in a tapped pool
 	// AssessRuns counts completed SP 800-90B raw-bit assessments;
 	// AssessMinEntropy is the latest suite minimum (meaningful only
 	// when AssessRuns > 0) and AssessAlarms the low-entropy
@@ -775,7 +789,6 @@ func (p *Pool) Stats() Stats {
 			StartupFailures:  s.startupFails.Load(),
 			Quarantines:      s.quarantines.Load(),
 			DrainedBytes:     s.drainedBytes.Load(),
-			Buffered:         s.ring.buffered(),
 			AssessRuns:       s.assessRuns.Load(),
 			AssessAlarms:     s.assessAlarms.Load(),
 			AssessAgeSeconds: -1,
@@ -784,6 +797,9 @@ func (p *Pool) Stats() Stats {
 			TapBytes:         s.tapBytes.Load(),
 			TapDropped:       s.tapDropped.Load(),
 			SeedBytesUsed:    s.seedBytes.Load(),
+		}
+		if s.ring != nil {
+			st.Shards[i].Buffered = s.ring.buffered()
 		}
 		if a := s.LastAssessment(); a != nil {
 			st.Shards[i].AssessMinEntropy = a.Report.MinEntropy

@@ -8,6 +8,7 @@ import (
 	"repro/internal/attack"
 	"repro/internal/osc"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // TestHealthCycleTot drives a shard through the full state machine on
@@ -273,5 +274,28 @@ func TestThermalMonitorHighSide(t *testing.T) {
 	}
 	if p.Healthy() != 1 {
 		t.Fatalf("healthy = %d", p.Healthy())
+	}
+}
+
+// TestMonitorSamplesIndependent pins the thermal monitor's sampling:
+// the s_N series a shard feeds its monitor must be serially
+// uncorrelated, because the χ²(W−1) alarm bounds assume independent
+// samples. Differencing overlapping counter windows gave lag-1 ≈ −0.5
+// and false alarms far above the design α on healthy sources.
+func TestMonitorSamplesIndependent(t *testing.T) {
+	t.Parallel()
+	cfg := thermalConfig(1, 61)
+	cfg.Health = HealthConfig{DisableStartup: true} // default N, W, M
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := p.Shard(0)
+	sn := make([]float64, 10000)
+	for i := range sn {
+		sn[i] = s.monSampler.Next()
+	}
+	if r := stats.Autocorrelation(sn, 1)[1]; math.Abs(r) >= 0.05 {
+		t.Fatalf("lag-1 autocorrelation of the monitor's s_N = %.3f, want |r| < 0.05", r)
 	}
 }

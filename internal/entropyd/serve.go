@@ -11,10 +11,11 @@ import (
 // to catch up — short, because it sits on the request latency path.
 const pollInterval = 100 * time.Microsecond
 
-// idlePoll is the producer's sleep when its ring is full: an idle
-// daemon then costs ~1k wakeups/s/shard instead of 10k, and the
-// latency cost is nil — a full ring has at least one whole block
-// buffered ahead of the consumer.
+// idlePoll is the producer's sleep when it has nothing to do — a full
+// ring (raw mode) or a full tap of an assessed epoch (DRBG mode): an
+// idle daemon then costs ~1k wakeups/s/shard, and the latency cost is
+// nil — a full ring has at least one whole block buffered ahead of the
+// consumer, a full tap many seed draws.
 const idlePoll = time.Millisecond
 
 // Serve switches the pool into daemon mode: one producer goroutine per
@@ -74,35 +75,54 @@ func (p *Pool) Stop() {
 	finish() // blocks until the (possibly concurrent) shutdown completed
 }
 
-// runShard is a shard's producer loop: keep the ring full while
-// healthy, recalibrate with backoff while quarantined.
+// runShard is a shard's producer loop: recalibrate with backoff while
+// quarantined; while healthy, keep the output ring full (raw mode) or,
+// for a tapped pool (DRBG mode, no ring), produce on demand. A tapped
+// shard gates one raw chunk per step — through the tot test, the
+// thermal monitor, the streaming tracker and the assessment collector,
+// into the tap — only while its epoch lacks a completed assessment or
+// its tap has room for the chunk, and sleeps otherwise. Seed draws
+// make the room, so physics is paid for bits a seed can use, every one
+// of them tested; an idle DRBG daemon costs wakeups, not cores. Every
+// wait reuses the goroutine's one timer.
 func (p *Pool) runShard(ctx context.Context, s *Shard) {
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
+	defer timer.Stop()
+	sleep := func(d time.Duration) bool {
+		timer.Reset(d)
+		select {
+		case <-ctx.Done():
+			return false
+		case <-timer.C:
+			return true
+		}
+	}
 	chunk := make([]byte, fillBlock)
+	dry := 0 // consecutive tapped steps that gated no bits
 	for ctx.Err() == nil {
 		switch s.State() {
 		case StateHealthy:
-			// Injected alarms must land even when the ring is full
-			// and produce() (the other check site) never runs — an
-			// idle daemon still honors the operator drill.
+			// Injected alarms must land even when the shard is idle and
+			// produce() (the other check site) never runs — an idle
+			// daemon still honors the operator drill.
 			if s.injected.Swap(false) {
 				s.quarantine(ReasonInjected)
 				continue
 			}
-			free := s.ring.free()
-			if free == 0 {
-				if s.tap != nil {
-					// Surveillance duty (DRBG mode): nothing drains
-					// the raw stream, but the embedded tests, the
-					// periodic assessment and the seed tap all live
-					// off fresh raw bits — the hardware analogue of a
-					// free-running source under continuous health
-					// monitoring. Produce a block and discard the
-					// gated bytes (the output ring is full; a tapped
-					// pool serves DRBG output, not the raw stream).
-					s.produce(chunk)
+			if s.tap != nil {
+				if !s.wantsChunk() {
+					if !sleep(idlePoll) {
+						return
+					}
 					continue
 				}
-				if !sleepCtx(ctx, idlePoll) {
+				s.nextGated(&dry) // the tap takes the chunk; gated bits are dropped
+				continue
+			}
+			free := s.ring.free()
+			if free == 0 {
+				if !sleep(idlePoll) {
 					return
 				}
 				continue
@@ -118,35 +138,23 @@ func (p *Pool) runShard(ctx context.Context, s *Shard) {
 				s.ring.push(chunk[:n])
 			}
 		case StateQuarantined:
-			if !sleepCtx(ctx, p.cfg.Health.RecalibrateBackoff) {
+			if !sleep(p.cfg.Health.RecalibrateBackoff) {
 				return
 			}
 			s.recalibrate()
 		default:
-			if !sleepCtx(ctx, pollInterval) {
+			if !sleep(pollInterval) {
 				return
 			}
 		}
 	}
 }
 
-// sleepCtx sleeps for d unless the context ends first; reports whether
-// the context is still alive.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
 // ReadBuffered moves up to len(dst) bytes from the shard rings into
 // dst, waiting up to `wait` for production to catch up, and returns
 // the byte count; (0, ErrStarved) when nothing could be served within
-// the deadline.
+// the deadline. A tapped pool has no rings and fails at once with
+// ErrTapped.
 //
 // Consumption follows the same deterministic rotation as Fill — blocks
 // of fillBlock bytes taken round-robin from the healthy shards, each
@@ -157,6 +165,9 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // on to the next healthy shard, which starts a fresh full block;
 // re-admitted shards rejoin the rotation at their next turn.
 func (p *Pool) ReadBuffered(dst []byte, wait time.Duration) (int, error) {
+	if p.cfg.SeedTapBytes > 0 {
+		return 0, ErrTapped
+	}
 	if !p.serving.Load() {
 		return 0, ErrNotServing
 	}

@@ -136,10 +136,8 @@ type Shard struct {
 	src          RawSource
 	tot          *ais31.TotTest
 	mon          *onlinetest.Monitor
-	monCounter   *measure.Counter
+	monSampler   onlinetest.Sampler
 	monPair      *osc.Pair
-	monPrevQ     int64
-	monScale     float64
 	monCountdown int
 	bitbuf       []byte // gated bits awaiting byte packing
 	bitpos       int    // consumed prefix of bitbuf
@@ -163,15 +161,17 @@ type Shard struct {
 	// min-entropy.
 	alarmStat float64
 
-	// Serve-mode output buffer.
+	// Serve-mode output buffer (nil in a tapped pool, which serves no
+	// raw stream).
 	ring *ring
 
 	// Raw seed tap (Config.SeedTapBytes > 0): a second SPSC ring the
 	// owner goroutine mirrors packed raw chunks into while Healthy,
 	// drained by SeedSource draws on the consumer side. Like the
-	// assessment collector it is passive — it copies bits the shard
-	// generates anyway, so enabling it never changes the output
-	// stream. tapScratch is the pack buffer.
+	// assessment collector it only copies bits the shard gates, so
+	// enabling it never changes the gated stream; in serve mode its
+	// free space is what paces a tapped shard's production (runShard).
+	// tapScratch is the pack buffer.
 	tap        *ring
 	tapScratch []byte
 
@@ -316,7 +316,7 @@ func (s *Shard) calibrate() error {
 		s.tot = t
 	}
 
-	s.mon, s.monCounter, s.monPair = nil, nil, nil
+	s.mon, s.monSampler, s.monPair = nil, onlinetest.Sampler{}, nil
 	if !h.DisableMonitor {
 		pair, err := s.pool.newMonitorPair(s.index, int(epoch), engine.DeriveSeed(s.seed, 2*epoch+1))
 		if err != nil {
@@ -347,10 +347,8 @@ func (s *Shard) calibrate() error {
 			return err
 		}
 		s.mon = mon
-		s.monCounter = counter
+		s.monSampler = onlinetest.NewSampler(counter)
 		s.monPair = pair
-		s.monScale = counter.PeriodOsc1() / float64(counter.Subdivision())
-		s.monPrevQ = counter.NextQ() // arm: first s_N needs a previous Q
 		s.monCountdown = h.MonitorEveryBits
 	}
 
@@ -362,19 +360,10 @@ func (s *Shard) calibrate() error {
 		bits := make([]byte, 0, startupBits)
 		dry := 0
 		for len(bits) < startupBits {
-			gated, alarm := s.gateChunk()
-			if alarm != ReasonNone {
-				s.quarantine(alarm)
+			gated, ok := s.nextGated(&dry)
+			if !ok {
 				return nil
 			}
-			if len(gated) == 0 {
-				if dry++; dry >= maxDryChunks {
-					s.quarantine(ReasonTot)
-					return nil
-				}
-				continue
-			}
-			dry = 0
 			bits = append(bits, gated...)
 		}
 		verdicts, pass, err := ais31.StartupTest(bits)
@@ -485,10 +474,7 @@ func (s *Shard) gateChunk() ([]byte, Reason) {
 			s.monCountdown--
 			if s.monCountdown <= 0 {
 				s.monCountdown = h.MonitorEveryBits
-				q := s.monCounter.NextQ()
-				sn := float64(q-s.monPrevQ) * s.monScale
-				s.monPrevQ = q
-				switch s.mon.Push(sn) {
+				switch s.mon.Push(s.monSampler.Next()) {
 				case onlinetest.AlarmLow:
 					s.alarmStat = s.mon.LastVariance()
 					return nil, ReasonThermalLow
@@ -533,6 +519,26 @@ func (s *Shard) gateChunk() ([]byte, Reason) {
 		}
 	}
 	return bits, ReasonNone
+}
+
+// nextGated gates one raw chunk (gateChunk) and quarantines the shard
+// on an alarm, or when this was the maxDryChunks-th consecutive chunk
+// to yield no gated bits (a starved conditioner); it then reports
+// false. dry is the caller's count of consecutive empty chunks.
+func (s *Shard) nextGated(dry *int) ([]byte, bool) {
+	gated, alarm := s.gateChunk()
+	if alarm == ReasonNone && len(gated) == 0 {
+		if *dry++; *dry < maxDryChunks {
+			return nil, true
+		}
+		alarm = ReasonTot
+	}
+	*dry = 0
+	if alarm != ReasonNone {
+		s.quarantine(alarm)
+		return nil, false
+	}
+	return gated, true
 }
 
 // collectAssessment advances the periodic SP 800-90B assessment with
@@ -640,28 +646,27 @@ func (s *Shard) produce(dst []byte) int {
 			s.bytesOut.Add(uint64(n))
 			return n
 		}
-		gated, alarm := s.gateChunk()
-		if alarm != ReasonNone {
-			s.quarantine(alarm)
+		gated, ok := s.nextGated(&dry)
+		if !ok {
 			s.bytesOut.Add(uint64(n))
 			return n
 		}
-		if len(gated) == 0 {
-			dry++
-			if dry >= maxDryChunks {
-				s.quarantine(ReasonTot)
-				s.bytesOut.Add(uint64(n))
-				return n
-			}
-			continue
-		}
-		dry = 0
 		// Compact the consumed prefix (< 8 leftover bits) before
 		// appending the fresh chunk, keeping the buffer bounded.
 		s.bitbuf = s.bitbuf[:copy(s.bitbuf, s.bitbuf[s.bitpos:])]
 		s.bitpos = 0
 		s.bitbuf = append(s.bitbuf, gated...)
 	}
+}
+
+// wantsChunk reports whether a tapped shard should gate another raw
+// chunk: its epoch still lacks a completed assessment (no seed draw can
+// take its bits before one), or its tap has room for the packed chunk.
+func (s *Shard) wantsChunk() bool {
+	if a := s.LastAssessment(); a == nil || a.Epoch != s.Epoch() {
+		return true
+	}
+	return s.tap.free() >= rawChunk/8
 }
 
 // packChunk packs a raw-bit chunk MSB-first into the shard's tap

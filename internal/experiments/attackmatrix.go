@@ -400,12 +400,13 @@ func (sc amSpec) run(seed uint64, streamOn bool) (amRep, error) {
 		isAttacked[a] = true
 	}
 	// Schedules live in oscillator local time. Source rings advance
-	// Divider periods per raw bit; the monitor pair advances MonitorN
-	// periods per s_N sample, one sample per MonitorEveryBits raw bits.
+	// Divider periods per raw bit; the monitor pair advances 2·MonitorN
+	// periods per s_N sample (two fresh counting windows, see
+	// onlinetest.Sampler), one sample per MonitorEveryBits raw bits.
 	bitsToSec := func(bits uint64) float64 { return float64(bits) * amDivider / f0 }
 	srcSched := attack.Schedule{Onset: bitsToSec(sc.onset), Ramp: bitsToSec(sc.ramp),
 		Hold: bitsToSec(sc.hold), Revert: sc.revert}
-	monScale := float64(amMonitorN) / float64(amMonitorEv*amDivider)
+	monScale := float64(2*amMonitorN) / float64(amMonitorEv*amDivider)
 
 	j := obs.NewJournal(obs.DefaultCapacity)
 	eng := incident.New(amIncidentWindow)

@@ -109,7 +109,7 @@ func OnlineTestOpts(scale Scale, seed uint64, opt Options) (OnlineResult, error)
 			HighAlarms:     run.HighAlarms,
 		}
 		if run.FirstAlarmSamples > 0 {
-			oc.LatencySeconds = float64(run.FirstAlarmSamples) * float64(n) / m.Phase.F0
+			oc.LatencySeconds = float64(run.FirstAlarmSamples) * float64(2*n) / m.Phase.F0 // 2·N periods per sample
 		} else {
 			oc.LatencySamples = -1
 		}

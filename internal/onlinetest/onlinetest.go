@@ -11,13 +11,15 @@
 // (frequency injection, cooling, locking) — quickly, because small-N
 // windows are short.
 //
-// The monitor keeps a sliding window of W counter-derived s_N samples,
-// computes their variance, and compares it against chi-square alarm
-// bounds calibrated from the reference σ²_N. Crucially — and this is
-// the paper's point — the reference must be the THERMAL part only,
-// extracted with the quadratic fit; calibrating against total measured
-// jitter at large N would bake flicker noise into the reference and
-// blind the test to thermal-noise loss.
+// The monitor keeps a sliding window of W counter-derived s_N samples
+// (taken by a Sampler from disjoint window pairs, so they are
+// independent as the bounds require), computes their variance, and
+// compares it against chi-square alarm bounds calibrated from the
+// reference σ²_N. Crucially — and this is the paper's point — the
+// reference must be the THERMAL part only, extracted with the
+// quadratic fit; calibrating against total measured jitter at large N
+// would bake flicker noise into the reference and blind the test to
+// thermal-noise loss.
 //
 // In the serving stack the monitor runs embedded: internal/entropyd
 // attaches one Monitor (fed by a dedicated measure.Counter) to every
@@ -167,6 +169,35 @@ func (m *Monitor) Counts() (windows, low, high int) {
 	return m.windows, m.lowSide, m.highSide
 }
 
+// Sampler turns a counter's window counts into the monitor's s_N
+// observations (eq. 12): every sample is the difference of two FRESH
+// consecutive counts, s_N = (Q_b − Q_a)/(M·f0), so no two samples share
+// a counting window. Differencing overlapping pairs instead (Q_i −
+// Q_{i−1}, then Q_{i+1} − Q_i) gives adjacent samples a lag-1
+// correlation of −1/2 — the independence assumption the paper warns
+// about, here made by the test itself — and the windowed variance of
+// such a series is not χ²(W−1): its tails are fat enough to raise the
+// false-alarm rate far above the design α. Disjoint samples are
+// independent under the thermal-only null, so the bounds New computes
+// hold exactly. The marginal distribution (σ²_N plus the quantization
+// floor) is the same either way; each sample spans 2·N periods.
+type Sampler struct {
+	c     *measure.Counter
+	scale float64
+}
+
+// NewSampler wraps a counter.
+func NewSampler(c *measure.Counter) Sampler {
+	return Sampler{c: c, scale: c.PeriodOsc1() / float64(c.Subdivision())}
+}
+
+// Next reads two fresh counting windows and returns their s_N (seconds).
+func (s Sampler) Next() float64 {
+	a := s.c.NextQ()
+	b := s.c.NextQ()
+	return float64(b-a) * s.scale
+}
+
 // RunResult summarizes a monitored run.
 type RunResult struct {
 	// Windows is the number of evaluated sliding windows.
@@ -174,27 +205,24 @@ type RunResult struct {
 	// FirstAlarmWindow is the index (in evaluated windows) of the
 	// first alarm, or −1.
 	FirstAlarmWindow int
-	// FirstAlarmTimeBits is the same expressed in s_N samples
+	// FirstAlarmSamples is the same expressed in s_N samples
 	// consumed before the alarm fired.
 	FirstAlarmSamples int
 	// LowAlarms and HighAlarms count alarm windows.
 	LowAlarms, HighAlarms int
 }
 
-// Run drives the monitor from a counter for total s_N samples, returning
-// the alarm summary. The counter must be configured with the same N.
+// Run drives the monitor from a counter for total s_N samples (each
+// taken by a Sampler, so 2·N counted periods apiece), returning the
+// alarm summary. The counter must be configured with the same N.
 func Run(m *Monitor, c *measure.Counter, samples int) (RunResult, error) {
 	if c.N() != m.cfg.N {
 		return RunResult{}, fmt.Errorf("onlinetest: counter N=%d does not match monitor N=%d", c.N(), m.cfg.N)
 	}
 	res := RunResult{FirstAlarmWindow: -1, FirstAlarmSamples: -1}
-	scale := c.PeriodOsc1() / float64(c.Subdivision())
-	prevQ := c.NextQ()
+	sampler := NewSampler(c)
 	for i := 0; i < samples; i++ {
-		q := c.NextQ()
-		sn := float64(q-prevQ) * scale
-		prevQ = q
-		st := m.Push(sn)
+		st := m.Push(sampler.Next())
 		if st != OK {
 			if res.FirstAlarmWindow < 0 {
 				res.FirstAlarmWindow = res.Windows

@@ -9,6 +9,7 @@ import (
 	"repro/internal/osc"
 	"repro/internal/phase"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 func paperModel() phase.Model {
@@ -191,5 +192,45 @@ func TestRunMismatchedN(t *testing.T) {
 	}
 	if _, err := Run(mon, c, 100); err == nil {
 		t.Fatal("mismatched N accepted")
+	}
+}
+
+// TestSamplerDisjointWindows contrasts the Sampler with differencing
+// overlapping windows on the same hardware: sharing a counting window
+// gives adjacent s_N a lag-1 correlation of −1/2 (the chi-square bounds
+// would not hold), fresh window pairs give independent samples with
+// the same variance.
+func TestSamplerDisjointWindows(t *testing.T) {
+	const n, samples = 64, 10000
+	series := func(seed uint64, overlap bool) []float64 {
+		pair, err := osc.NewPair(paperModel(), 2e-3, osc.Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := measure.NewCounterConfig(pair, n, measure.Config{Subdivide: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if overlap {
+			return c.SN(samples)
+		}
+		s := NewSampler(c)
+		out := make([]float64, samples)
+		for i := range out {
+			out[i] = s.Next()
+		}
+		return out
+	}
+	fresh, shared := series(7, false), series(7, true)
+	if r := stats.Autocorrelation(fresh, 1)[1]; math.Abs(r) >= 0.05 {
+		t.Errorf("Sampler lag-1 = %.3f, want |r| < 0.05", r)
+	}
+	if r := stats.Autocorrelation(shared, 1)[1]; math.Abs(r+0.5) >= 0.05 {
+		t.Errorf("overlapping-window lag-1 = %.3f, want ≈ −0.5", r)
+	}
+	_, vf := stats.MeanVariance(fresh)
+	_, vs := stats.MeanVariance(shared)
+	if ratio := vf / vs; math.Abs(ratio-1) > 0.1 {
+		t.Errorf("variance ratio fresh/shared = %.3f, want ≈ 1", ratio)
 	}
 }
